@@ -300,10 +300,6 @@ type Site struct {
 // ID returns the site identifier.
 func (s *Site) ID() SiteID { return s.id }
 
-// Daemon exposes the site's protocols process; the toolkit tools and the
-// benchmark harness use it directly.
-func (s *Site) Daemon() *protos.Daemon { return s.daemon }
-
 // Cluster returns the owning cluster.
 func (s *Site) Cluster() *Cluster { return s.cluster }
 
@@ -314,25 +310,6 @@ func (s *Site) Cluster() *Cluster { return s.cluster }
 // protocols; the per-event Seq field makes gaps detectable.
 func (s *Site) Events(f EventFilter) (<-chan Event, func()) {
 	return s.daemon.Events(f, 0)
-}
-
-// WatchSites invokes the callback for failure-detector events observed at
-// this site (used by the recovery manager and the news service). The
-// returned cancel stops the subscription.
-//
-// Deprecated: subscribe to Events with kinds EventSiteDown / EventSiteUp.
-func (s *Site) WatchSites(cb func(SiteEvent)) (cancel func()) { return s.daemon.WatchSites(cb) }
-
-// WatchPrimary invokes the callback for primary-status transitions of the
-// groups hosted at this site: (gid, false) when a partition strands this
-// site's copy of a group in a read-only minority, (gid, true) when the copy
-// resumes or merges back into the primary partition. The returned cancel
-// stops the subscription.
-//
-// Deprecated: subscribe to Events with kinds EventPrimaryLost /
-// EventPrimaryResumed.
-func (s *Site) WatchPrimary(cb func(gid Address, primary bool)) (cancel func()) {
-	return s.daemon.WatchPrimary(cb)
 }
 
 // GroupPrimary reports whether this site's copy of the group is in the

@@ -156,27 +156,44 @@ func TestPartitionMergeEventSequence(t *testing.T) {
 
 // TestClusterEventsMergesSites checks that the cluster-wide stream carries
 // events from several sites, stamped with the observing site, and that
-// cancel terminates it.
+// cancel terminates it: view installs once a group spans the cluster, and
+// the failure detector's site-down verdicts once a member site crashes.
 func TestClusterEventsMergesSites(t *testing.T) {
-	c := newTestCluster(t, 3)
-	ch, cancel := c.Events(EventFilter{Kinds: []EventKind{EventViewInstalled}})
-	get, wait := collectEvents(ch)
+	for _, tc := range []struct {
+		kind  EventKind
+		crash bool // crash site 3 once the group is up
+		sites int  // distinct observing sites expected
+	}{
+		{EventViewInstalled, false, 3},
+		{EventSiteDown, true, 2},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			c := newTestCluster(t, 3)
+			ch, cancel := c.Events(EventFilter{Kinds: []EventKind{tc.kind}})
+			get, wait := collectEvents(ch)
 
-	_, gid := echoService(t, c, "evmerge", 1, 2, 3)
-	waitUntil(t, "view-installed events from every site", 10*time.Second, func() bool {
-		sites := map[SiteID]bool{}
-		for _, e := range get() {
-			if e.Group == gid {
-				sites[e.Site] = true
+			_, gid := echoService(t, c, "evmerge", 1, 2, 3)
+			if tc.crash {
+				if err := c.CrashSite(3); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		return len(sites) == 3
-	})
-	cancel()
-	wait()
+			waitUntil(t, tc.kind.String()+" events from every observing site", 10*time.Second, func() bool {
+				sites := map[SiteID]bool{}
+				for _, e := range get() {
+					if e.Group == gid || e.Peer == 3 {
+						sites[e.Site] = true
+					}
+				}
+				return len(sites) == tc.sites
+			})
+			cancel()
+			wait()
 
-	if st := c.EventStats(); st.Published == 0 {
-		t.Error("cluster event stats report nothing published")
+			if st := c.EventStats(); st.Published == 0 {
+				t.Error("cluster event stats report nothing published")
+			}
+		})
 	}
 }
 
@@ -301,36 +318,6 @@ func TestMonitorCancel(t *testing.T) {
 	if after != frozen {
 		t.Errorf("cancelled monitor fired %d more times", after-frozen)
 	}
-}
-
-// TestWatchSitesCancel pins that the deprecated watch wrapper both delivers
-// and honours its cancel.
-func TestWatchSitesCancel(t *testing.T) {
-	c := newTestCluster(t, 3)
-	// Sites only monitor peers they have exchanged traffic with: put a group
-	// across the cluster before crashing a member site.
-	_, _ = echoService(t, c, "watchsites", 1, 2, 3)
-	var mu sync.Mutex
-	var seen []SiteEvent
-	cancel := c.Site(1).WatchSites(func(ev SiteEvent) {
-		mu.Lock()
-		seen = append(seen, ev)
-		mu.Unlock()
-	})
-	if err := c.CrashSite(3); err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, "failure event reaches the watcher", 10*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, ev := range seen {
-			if ev.Site == 3 && ev.Kind == SiteFailed {
-				return true
-			}
-		}
-		return false
-	})
-	cancel()
 }
 
 // TestEventStringsAreReadable smoke-checks the trace rendering used by the

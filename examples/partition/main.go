@@ -141,8 +141,7 @@ func main() {
 	})
 
 	// Trace the minority site's view of the partition lifecycle through the
-	// operational event stream (this replaces the old WatchPrimary idiom —
-	// and unlike it, the subscription can be cancelled).
+	// operational event stream.
 	events, cancelEvents := cluster.Site(5).Events(isis.EventFilter{Group: gid})
 	var traceMu sync.Mutex
 	var trace []isis.Event

@@ -119,6 +119,11 @@ func TestPrimaryPartitionMajorityCommitsMinorityMerges(t *testing.T) {
 		return true
 	})
 
+	// Site 5's failure-detector verdicts, watched from before the cut.
+	downs, cancelDowns := c.Site(5).Events(EventFilter{Kinds: []EventKind{EventSiteDown}})
+	defer cancelDowns()
+	downsSeen, _ := collectEvents(downs)
+
 	// Partition sites {1,2,3} from {4,5}.
 	for _, a := range []SiteID{1, 2, 3} {
 		for _, b := range []SiteID{4, 5} {
@@ -147,7 +152,11 @@ func TestPrimaryPartitionMajorityCommitsMinorityMerges(t *testing.T) {
 	// heal (the usual timeout ambiguity — committed in the primary, so not
 	// split-brain, but not the refusal this assertion is about).
 	waitUntil(t, "site 5 suspects the majority", 10*time.Second, func() bool {
-		return len(c.Site(5).Daemon().SuspectedSites()) >= 3
+		peers := map[SiteID]bool{}
+		for _, e := range downsSeen() {
+			peers[e.Peer] = true
+		}
+		return len(peers) >= 3
 	})
 	if _, err := members[4].Cast(GBCAST, []Address{gid}, EntryUserBase, Text("gb-forbidden")); !errors.Is(err, ErrNonPrimary) {
 		t.Errorf("minority GBCAST err = %v, want ErrNonPrimary", err)

@@ -700,12 +700,12 @@ func (d *Daemon) buildReportLocked(gs *groupState) pendingReport {
 		idx[id] = len(rep.Abcasts)
 		rep.Abcasts = append(rep.Abcasts, abPendingWire{ID: id, Priority: st.maxPrio, Packet: st.packet, Init: true})
 	}
-	for _, id := range gs.order {
-		prio := gs.recentPrio[id]
+	for id, rc := range gs.recent.all() {
+		prio := rc.prio
 		if prio == 0 {
-			prio = d.abDone[id]
+			prio, _ = d.abDone.get(id)
 		}
-		rep.Recent = append(rep.Recent, recentWire{ID: id, Packet: gs.recent[id], Priority: prio})
+		rep.Recent = append(rep.Recent, recentWire{ID: id, Packet: rc.pkt, Priority: prio})
 	}
 	return rep
 }
@@ -871,7 +871,6 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 		gs = &groupState{
 			view:    core.View{Group: gid.Base(), Name: newView.Name},
 			members: make(map[addr.Address]*memberState),
-			recent:  make(map[core.MsgID]*msg.Message),
 		}
 		d.groups[gid.Base()] = gs
 		if newView.Name != "" {
@@ -893,7 +892,7 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 	// already delivered here and any member that joined after the message
 	// was sent (its state-transfer cut covers it).
 	for _, rc := range rec.Recent {
-		if rc.Packet == nil || gs.recent[rc.ID] != nil {
+		if rc.Packet == nil || gs.recent.has(rc.ID) {
 			continue
 		}
 		d.recordRecentLocked(gs, rc.ID, rc.Packet, rc.Priority)
@@ -973,7 +972,7 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 		// never commit after being reported aborted.
 		if sealReq != 0 {
 			if sealOutcome == voteCommitted {
-				delete(gs.gbSkipped, sealReq)
+				gs.gbSkipped.remove(sealReq)
 			} else {
 				markSkippedLocked(gs, sealReq)
 			}
@@ -1099,18 +1098,7 @@ const (
 // markSkippedLocked records one request id that advanced past the high-water
 // mark without committing at this site. Caller holds d.mu.
 func markSkippedLocked(gs *groupState, reqID int64) {
-	if gs.gbSkipped == nil {
-		gs.gbSkipped = make(map[int64]bool)
-	}
-	if gs.gbSkipped[reqID] {
-		return
-	}
-	gs.gbSkipped[reqID] = true
-	gs.gbSkippedOrder = append(gs.gbSkippedOrder, reqID)
-	for len(gs.gbSkippedOrder) > gbSkipLimit {
-		delete(gs.gbSkipped, gs.gbSkippedOrder[0])
-		gs.gbSkippedOrder = gs.gbSkippedOrder[1:]
-	}
+	gs.gbSkipped.add(reqID, struct{}{}, gbSkipLimit)
 }
 
 // gbOutcomeVoteLocked reports this site's first-hand knowledge of a request
@@ -1120,7 +1108,7 @@ func markSkippedLocked(gs *groupState, reqID int64) {
 // group after the id was minted has no history below its base and must
 // answer unknown, not committed. Caller holds d.mu.
 func gbOutcomeVoteLocked(gs *groupState, reqID int64) int64 {
-	if gs.gbSkipped[reqID] {
+	if gs.gbSkipped.has(reqID) {
 		return voteAborted
 	}
 	requester, counter := reqIDParts(reqID)
@@ -1604,7 +1592,7 @@ func (d *Daemon) handleSiteFailure(s addr.SiteID) {
 	d.mu.Unlock()
 
 	for _, st := range toFinish {
-		d.finishAbcast(st)
+		d.completeAbcast(st)
 	}
 	for _, r := range removals {
 		if r.force {

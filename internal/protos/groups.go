@@ -44,7 +44,6 @@ func (d *Daemon) CreateGroup(creator addr.Address, name string) (core.View, erro
 	gs := &groupState{
 		view:    view,
 		members: make(map[addr.Address]*memberState),
-		recent:  make(map[core.MsgID]*msg.Message),
 	}
 	gs.members[creator.Base()] = &memberState{
 		proc:       lp,
@@ -125,18 +124,6 @@ func (d *Daemon) Lookup(name string) (addr.Address, error) {
 		return addr.Nil, err
 	}
 	return view.Group, nil
-}
-
-// LookupView resolves a name and returns the (possibly cached) view.
-func (d *Daemon) LookupView(name string) (core.View, error) {
-	gid, err := d.Lookup(name)
-	if err != nil {
-		return core.View{}, err
-	}
-	if v, ok := d.CurrentView(gid); ok {
-		return v, nil
-	}
-	return d.lookupRemote(name, gid)
 }
 
 // refreshView fetches a fresh copy of a group's view from the sites that

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/addr"
+	"repro/internal/events"
 	"repro/internal/msg"
 	"repro/internal/simnet"
 )
@@ -29,15 +30,20 @@ func TestMinorityPartitionWedgesThenMerges(t *testing.T) {
 	procs := buildGroup(t, tc, "prim", 1, 2, 3)
 	gid := groupOf(t, tc, procs[0], "prim")
 
+	evs, cancelEvs := tc.daemons[3].Events(events.Filter{
+		Kinds: []events.Kind{events.PrimaryLost, events.PrimaryResumed},
+		Group: gid,
+	}, 0)
+	defer cancelEvs()
 	var tmu sync.Mutex
 	var transitions []bool
-	tc.daemons[3].WatchPrimary(func(g addr.Address, primary bool) {
-		if g == gid {
+	go func() {
+		for e := range evs {
 			tmu.Lock()
-			transitions = append(transitions, primary)
+			transitions = append(transitions, e.Kind == events.PrimaryResumed)
 			tmu.Unlock()
 		}
-	})
+	}()
 
 	tc.net.Partition(3, 1)
 	tc.net.Partition(3, 2)

@@ -51,7 +51,6 @@ type Manager struct {
 
 	mu       sync.Mutex
 	services map[string]*registration
-	auto     bool
 }
 
 // NewManager creates the recovery manager for a site.
@@ -127,24 +126,4 @@ func (m *Manager) RecoverAll() (map[string]Advice, error) {
 		}
 	}
 	return result, nil
-}
-
-// AutoRestartOnSiteRecovery arranges for RecoverAll to run automatically
-// when this site observes another site recovering (which is when migrated
-// services may want to move back) — the "restart processes ... if a site
-// recovers" behaviour of Section 3.8. It is optional; tests drive
-// RecoverAll directly.
-func (m *Manager) AutoRestartOnSiteRecovery() {
-	m.mu.Lock()
-	if m.auto {
-		m.mu.Unlock()
-		return
-	}
-	m.auto = true
-	m.mu.Unlock()
-	m.site.WatchSites(func(ev isis.SiteEvent) {
-		if ev.Kind == isis.SiteRecovered {
-			go func() { _, _ = m.RecoverAll() }()
-		}
-	})
 }
