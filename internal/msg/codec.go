@@ -58,6 +58,10 @@ var (
 // maxFields bounds the field count in one message.
 const maxFields = math.MaxUint16
 
+// minFieldBytes is the smallest encoded field: name length, an empty name,
+// type and payload length.
+const minFieldBytes = 1 + 1 + 4
+
 // encodeCalls counts actual wire encodings (cache misses included, cache
 // hits excluded). Tests use it to assert that a multicast packet fanned out
 // to N destinations is marshalled exactly once.
@@ -211,6 +215,12 @@ func (m *Message) unmarshalPrefix(b []byte) ([]byte, error) {
 	n := int(binary.BigEndian.Uint16(b[:2]))
 	b = b[2:]
 	m.invalidate()
+	// Size the field slice once. A field takes at least minFieldBytes, so
+	// the count is capped by what the input can hold: a short input that
+	// claims 65535 fields must not reserve room for them.
+	if c := min(n, len(b)/minFieldBytes); c > cap(m.fields) {
+		m.Grow(c - len(m.fields))
+	}
 	idx, inPlace := 0, true
 	for i := 0; i < n; i++ {
 		if len(b) < 1 {

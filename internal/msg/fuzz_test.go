@@ -32,6 +32,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		PutMessage("sub", New().PutMessage("subsub", New().PutInt("deep", 9))))
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 1, 'a', 99, 0, 0, 0, 0})
+	f.Add(hostileCount)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(data)

@@ -155,6 +155,19 @@ func (m *Message) slot(name string, typ FieldType) *field {
 	return f
 }
 
+// Grow makes room for n more fields, so that adding them allocates the field
+// storage at most once. Packet builders that know their field count call it
+// first; a field slice grown one append at a time discards several smaller
+// arrays on the way to its final size.
+func (m *Message) Grow(n int) {
+	if n <= 0 || cap(m.fields)-len(m.fields) >= n {
+		return
+	}
+	fields := make([]field, len(m.fields), len(m.fields)+n)
+	copy(fields, m.fields)
+	m.fields = fields
+}
+
 // Len returns the number of fields in the message.
 func (m *Message) Len() int { return len(m.fields) }
 
@@ -258,6 +271,16 @@ func (m *Message) get(name string, typ FieldType) (*field, error) {
 	return f, nil
 }
 
+// lookup returns the field for name, or nil when absent or of another type.
+// The Get* getters use it so that a miss, which is the common case for
+// optional protocol fields, builds no error value.
+func (m *Message) lookup(name string, typ FieldType) *field {
+	if i, ok := m.find(name); ok && m.fields[i].typ == typ {
+		return &m.fields[i]
+	}
+	return nil
+}
+
 // Bytes returns the bytes field, or an error if missing or of another type.
 func (m *Message) Bytes(name string) ([]byte, error) {
 	f, err := m.get(name, TypeBytes)
@@ -317,48 +340,48 @@ func (m *Message) Message(name string) (*Message, error) {
 
 // GetInt returns the integer field or def when absent or mistyped.
 func (m *Message) GetInt(name string, def int64) int64 {
-	if v, err := m.Int(name); err == nil {
-		return v
+	if f := m.lookup(name, TypeInt); f != nil {
+		return f.i
 	}
 	return def
 }
 
 // GetString returns the string field or def when absent or mistyped.
 func (m *Message) GetString(name, def string) string {
-	if v, err := m.String(name); err == nil {
-		return v
+	if f := m.lookup(name, TypeString); f != nil {
+		return f.str
 	}
 	return def
 }
 
 // GetBytes returns the bytes field or nil when absent or mistyped.
 func (m *Message) GetBytes(name string) []byte {
-	if v, err := m.Bytes(name); err == nil {
-		return v
+	if f := m.lookup(name, TypeBytes); f != nil {
+		return f.bytes
 	}
 	return nil
 }
 
 // GetAddress returns the address field or addr.Nil when absent or mistyped.
 func (m *Message) GetAddress(name string) addr.Address {
-	if v, err := m.Address(name); err == nil {
-		return v
+	if f := m.lookup(name, TypeAddress); f != nil {
+		return f.adr
 	}
 	return addr.Nil
 }
 
 // GetAddressList returns the address list field or nil.
 func (m *Message) GetAddressList(name string) addr.List {
-	if v, err := m.AddressList(name); err == nil {
-		return v
+	if f := m.lookup(name, TypeAddressList); f != nil {
+		return f.adrs
 	}
 	return nil
 }
 
 // GetMessage returns the nested message field or nil.
 func (m *Message) GetMessage(name string) *Message {
-	if v, err := m.Message(name); err == nil {
-		return v
+	if f := m.lookup(name, TypeMessage); f != nil {
+		return f.sub
 	}
 	return nil
 }
@@ -395,13 +418,22 @@ func (m *Message) StripSystemFields() {
 	}
 }
 
-// Clone returns a deep copy of the message.
-func (m *Message) Clone() *Message {
+// cloneRoom is how many fields a Clone can take without growing: the
+// toolkit stamps a cloned payload with up to four system fields (sender,
+// group, view, protocol) before delivering it.
+const cloneRoom = 4
+
+// Clone returns a deep copy of the message. The copy has room for a few more
+// top-level fields, so stamping it with the delivery system fields allocates
+// nothing further; nested messages are copied at their exact size.
+func (m *Message) Clone() *Message { return m.clone(cloneRoom) }
+
+func (m *Message) clone(room int) *Message {
 	out := &Message{}
 	if len(m.fields) == 0 {
 		return out
 	}
-	out.fields = make([]field, len(m.fields))
+	out.fields = make([]field, len(m.fields), len(m.fields)+room)
 	copy(out.fields, m.fields)
 	for i := range out.fields {
 		f := &out.fields[i]
@@ -412,7 +444,7 @@ func (m *Message) Clone() *Message {
 			f.adrs = append(addr.List(nil), f.adrs...)
 		case TypeMessage:
 			if f.sub != nil {
-				f.sub = f.sub.Clone()
+				f.sub = f.sub.clone(0)
 			}
 		}
 	}

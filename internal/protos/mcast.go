@@ -124,6 +124,7 @@ func (d *Daemon) sendPointToPoint(sender addr.Address, id core.MsgID, dests addr
 		return nil
 	}
 	pkt := msg.New()
+	pkt.Grow(7)
 	pkt.PutInt(fProto, int64(CBCAST))
 	putMsgID(pkt, id)
 	pkt.PutAddress(fSender, sender.Base())
@@ -235,6 +236,8 @@ func (d *Daemon) sendGroupMulticast(sender addr.Address, lp *localProc, proto Pr
 // marshals it exactly once per multicast regardless of fan-out width.
 func (d *Daemon) buildDataPacket(proto Protocol, gid addr.Address, viewID core.ViewID, id core.MsgID, sender addr.Address, rank int, entry addr.EntryID, payload *msg.Message) *msg.Message {
 	pkt := msg.New()
+	// Nine fields here, plus the vector timestamp a member CBCAST adds.
+	pkt.Grow(10)
 	pkt.PutInt(fProto, int64(proto))
 	pkt.PutAddress(fGroup, gid)
 	pkt.PutInt(fViewID, int64(viewID))
@@ -919,7 +922,8 @@ func (d *Daemon) processCbcastLocked(gs *groupState, pkt *msg.Message) {
 // Delivery helpers
 
 // buildDelivery constructs the application-visible message: the payload plus
-// the toolkit system fields.
+// the toolkit system fields. Clone leaves room for the four system fields,
+// so the copy is the only allocation of the field storage.
 func (d *Daemon) buildDelivery(payload *msg.Message, sender, group addr.Address, viewID core.ViewID, proto Protocol) *msg.Message {
 	m := payload.Clone()
 	m.PutAddress(msg.FSender, sender.Base())

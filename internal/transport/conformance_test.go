@@ -307,3 +307,93 @@ func TestConformanceBatchCoalescing(t *testing.T) {
 		})
 	}
 }
+
+// TestConformanceSendCopiesPayload pins the backend half of the netback
+// contract the flusher relies on when it reuses its frame buffer: once Send
+// returns, the caller may overwrite the payload without changing what the
+// receiver gets.
+func TestConformanceSendCopiesPayload(t *testing.T) {
+	for _, fc := range fabricCases() {
+		t.Run(fc.name, func(t *testing.T) {
+			fab := fc.make(0)
+			defer fab.Close()
+			ep1, err := fab.Attach(1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ep2, err := fab.Attach(2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := []byte("original payload")
+			want := string(buf)
+			if err := ep1.Send(2, buf); err != nil {
+				t.Fatal(err)
+			}
+			copy(buf, "OVERWRITTEN!!!!!")
+			select {
+			case pkt := <-ep2.Recv():
+				if string(pkt.Payload) != want {
+					t.Errorf("receiver got %q, want %q", pkt.Payload, want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("packet never arrived")
+			}
+		})
+	}
+}
+
+// TestConformanceHandlerAppendKeepsNextMessage pins the delivery half: a
+// message that arrives as one record is handed over as a slice of the
+// received frame, so a handler that appends to it must not overwrite the
+// next message coalesced into the same frame.
+func TestConformanceHandlerAppendKeepsNextMessage(t *testing.T) {
+	for _, fc := range fabricCases() {
+		t.Run(fc.name, func(t *testing.T) {
+			fab := fc.make(0)
+			defer fab.Close()
+			cfg := DefaultConfig(fab.Profile())
+			cfg.RetransmitInterval = 10 * time.Millisecond
+			// Hold the flusher long enough for both sends to queue, so they
+			// share one frame.
+			cfg.FlushDelay = 20 * time.Millisecond
+			ep1, err := fab.Attach(1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t1, err := New(ep1, cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer t1.Close()
+			c := &collector{}
+			ep2, err := fab.Attach(2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t2, err := New(ep2, cfg, func(from SiteID, data []byte) {
+				c.handler(from, data)
+				// Append as much as fits without reallocating: whatever
+				// capacity data has past its end, the handler may write.
+				_ = append(data, bytes.Repeat([]byte{'X'}, cap(data)-len(data))...)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer t2.Close()
+			if err := t1.Send(2, []byte("first")); err != nil {
+				t.Fatal(err)
+			}
+			if err := t1.Send(2, []byte("second")); err != nil {
+				t.Fatal(err)
+			}
+			got := c.waitFor(t, 2, 5*time.Second)
+			if got[0] != "first" || got[1] != "second" {
+				t.Errorf("delivered %q, want [first second]", got)
+			}
+			if st := t1.Stats(); st.Coalesced == 0 {
+				t.Errorf("the two messages did not share a frame: %+v", st)
+			}
+		})
+	}
+}

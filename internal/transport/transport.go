@@ -16,7 +16,10 @@ import (
 type SiteID = addr.SiteID
 
 // Handler receives a fully reassembled message from a peer site. Handlers
-// are invoked sequentially per source site, preserving FIFO order.
+// are invoked sequentially per source site, preserving FIFO order. The
+// handler owns data, but a message that arrived in one record is a slice of
+// the received frame rather than a copy: keeping data keeps the whole frame
+// alive. Appending to data never overwrites another message.
 type Handler func(from SiteID, data []byte)
 
 // Config holds transport parameters.
@@ -108,6 +111,7 @@ type peerSend struct {
 	sentUpTo uint64            // highest sequence handed to a frame so far
 	kick     chan struct{}     // wakes the per-peer flusher
 	started  bool              // flusher goroutine running
+	frame    []byte            // the flusher's frame buffer, reused across frames
 }
 
 // pendingAck is the receive-side ack bookkeeping for one peer.
@@ -324,8 +328,16 @@ func (t *Transport) runFlusher(to SiteID, ps *peerSend) {
 // buildFrameLocked pops queued records into one frame of at most MaxPacket
 // bytes (or at most maxRecs records when maxRecs > 0) and stamps the
 // piggybacked ack. Caller holds t.mu and guarantees the queue is non-empty.
+//
+// The frame is built in the peer's reusable buffer and stays valid only
+// until the next call. That is safe because only the peer's flusher builds
+// frames, and it hands each one to the backend, whose Send copies, before it
+// builds the next.
 func (t *Transport) buildFrameLocked(to SiteID, ps *peerSend, maxRecs int) []byte {
-	frame := make([]byte, 0, t.cfg.MaxPacket)
+	if ps.frame == nil {
+		ps.frame = make([]byte, 0, t.cfg.MaxPacket)
+	}
+	frame := ps.frame[:0]
 	// Sequences are contiguous, so the queue head is sentUpTo+1: it is the
 	// stream's lowest outstanding sequence exactly when nothing older is
 	// still awaiting an ack. Receivers may adopt a mid-flight stream only at
@@ -362,6 +374,7 @@ func (t *Transport) buildFrameLocked(to SiteID, ps *peerSend, maxRecs int) []byt
 	if n > 1 {
 		t.stats.Coalesced += uint64(n - 1)
 	}
+	ps.frame = frame
 	return frame
 }
 
@@ -434,36 +447,40 @@ func (t *Transport) retransmit() {
 			continue
 		}
 		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		t.stats.Retransmissions += uint64(len(seqs))
 		var ackEpoch, cum uint64
 		if pr, ok := t.recvs[to]; ok {
 			ackEpoch, cum = pr.epoch, pr.nextExpected-1
 		}
 		r := resend{to: to}
-		var frame []byte
 		// The sweep runs in sequence order, so its first frame leads with the
 		// stream's lowest outstanding sequence (queued records are all above
 		// sentUpTo) and carries the adoption flag.
 		kind := byte(kindFrameLow)
-		for _, seq := range seqs {
-			rec := ps.unacked[seq]
-			if frame != nil && len(frame)+len(rec) > t.cfg.MaxPacket {
-				r.frames = append(r.frames, frame)
-				frame = nil
-				kind = kindFrame
+		for len(seqs) > 0 {
+			// Take the records that fit one frame, then allocate the frame at
+			// their size: a resent ack-sized record gets a small frame, not a
+			// MaxPacket one.
+			size, n := frameHeaderSize, 0
+			for ; n < len(seqs); n++ {
+				l := len(ps.unacked[seqs[n]])
+				if n > 0 && size+l > t.cfg.MaxPacket {
+					break
+				}
+				size += l
 			}
-			if frame == nil {
-				frame = make([]byte, 0, t.cfg.MaxPacket)
-				frame = append(frame, kind)
-				frame = binary.BigEndian.AppendUint64(frame, ps.epoch)
-				frame = binary.BigEndian.AppendUint64(frame, ackEpoch)
-				frame = binary.BigEndian.AppendUint64(frame, cum)
+			frame := make([]byte, 0, size)
+			frame = append(frame, kind)
+			frame = binary.BigEndian.AppendUint64(frame, ps.epoch)
+			frame = binary.BigEndian.AppendUint64(frame, ackEpoch)
+			frame = binary.BigEndian.AppendUint64(frame, cum)
+			for _, seq := range seqs[:n] {
+				frame = append(frame, ps.unacked[seq]...)
 			}
-			frame = append(frame, rec...)
-		}
-		if frame != nil {
 			r.frames = append(r.frames, frame)
+			seqs = seqs[n:]
+			kind = kindFrame
 		}
-		t.stats.Retransmissions += uint64(len(seqs))
 		t.stats.FramesSent += uint64(len(r.frames))
 		pending = append(pending, r)
 	}
@@ -608,6 +625,14 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 			delete(pr.buffered, pr.nextExpected)
 			pr.nextExpected++
 			pr.delivered = true
+			if rec.flags&flagLastFragment != 0 && pr.assembling == nil {
+				// A whole message in one record: hand over the frame's own
+				// bytes, capped so a handler's append cannot overwrite the
+				// next record of the frame.
+				p := rec.payload
+				complete = append(complete, p[:len(p):len(p)])
+				continue
+			}
 			pr.assembling = append(pr.assembling, rec.payload...)
 			if rec.flags&flagLastFragment != 0 {
 				complete = append(complete, pr.assembling)
