@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"container/heap"
+	"sort"
+)
 
 // The ABCAST protocol (Section 3.1 of the paper, specified in [Birman-a]) is
 // a two-phase priority-agreement protocol:
@@ -33,6 +36,46 @@ type abPending struct {
 	payload   any
 	priority  uint64 // proposed until committed, then final
 	committed bool
+	index     int // position in the queue's heap
+}
+
+// pendingHeap orders pending messages by (priority, id): its root is the
+// head of the delivery order. Each entry tracks its own index, so a commit
+// that changes an entry's priority re-sifts just that entry.
+type pendingHeap []*abPending
+
+// Len implements heap.Interface.
+func (h pendingHeap) Len() int { return len(h) }
+
+// Less orders by priority, then by message id.
+func (h pendingHeap) Less(i, j int) bool {
+	if h[i].priority != h[j].priority {
+		return h[i].priority < h[j].priority
+	}
+	return h[i].id.Less(h[j].id)
+}
+
+// Swap implements heap.Interface, keeping each entry's index current.
+func (h pendingHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+
+// Push implements heap.Interface.
+func (h *pendingHeap) Push(x any) {
+	p := x.(*abPending)
+	p.index = len(*h)
+	*h = append(*h, p)
+}
+
+// Pop implements heap.Interface.
+func (h *pendingHeap) Pop() any {
+	old := *h
+	p := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return p
 }
 
 // TotalQueue is the per-member receiver state of the ABCAST protocol. It is
@@ -41,6 +84,7 @@ type abPending struct {
 type TotalQueue struct {
 	clock     uint64 // largest priority proposed or observed
 	pending   map[MsgID]*abPending
+	order     pendingHeap    // the pending entries, head first
 	delivered map[MsgID]bool // dedup of already-delivered ids (bounded)
 	history   []MsgID        // insertion order of delivered, for bounding
 	maxHist   int
@@ -73,7 +117,9 @@ func (q *TotalQueue) Propose(id MsgID, payload any) uint64 {
 		return q.clock
 	}
 	q.clock++
-	q.pending[id] = &abPending{id: id, payload: payload, priority: q.clock}
+	p := &abPending{id: id, payload: payload, priority: q.clock}
+	q.pending[id] = p
+	heap.Push(&q.order, p)
 	return q.clock
 }
 
@@ -84,43 +130,43 @@ func (q *TotalQueue) Propose(id MsgID, payload any) uint64 {
 // reconciliation).
 func (q *TotalQueue) Commit(id MsgID, final uint64) []TotalDelivery {
 	if p, ok := q.pending[id]; ok {
-		p.priority = final
-		p.committed = true
-		if final > q.clock {
-			q.clock = final
-		}
+		q.finalize(p, final)
 	}
 	return q.drain()
+}
+
+// finalize fixes p's final priority and moves it to its place in the
+// delivery order.
+func (q *TotalQueue) finalize(p *abPending, final uint64) {
+	p.priority = final
+	p.committed = true
+	if final > q.clock {
+		q.clock = final
+	}
+	heap.Fix(&q.order, p.index)
 }
 
 // drain delivers committed messages from the head of the priority order.
 func (q *TotalQueue) drain() []TotalDelivery {
 	var out []TotalDelivery
 	for {
-		head := q.minPending()
+		head := q.head()
 		if head == nil || !head.committed {
 			return out
 		}
+		heap.Pop(&q.order)
 		delete(q.pending, head.id)
 		q.markDelivered(head.id)
 		out = append(out, TotalDelivery{ID: head.id, Payload: head.payload, Priority: head.priority})
 	}
 }
 
-// minPending returns the pending message with the smallest (priority, id).
-func (q *TotalQueue) minPending() *abPending {
-	var best *abPending
-	for _, p := range q.pending {
-		if best == nil {
-			best = p
-			continue
-		}
-		if p.priority < best.priority ||
-			(p.priority == best.priority && p.id.Less(best.id)) {
-			best = p
-		}
+// head returns the pending message with the smallest (priority, id).
+func (q *TotalQueue) head() *abPending {
+	if len(q.order) == 0 {
+		return nil
 	}
-	return best
+	return q.order[0]
 }
 
 func (q *TotalQueue) markDelivered(id MsgID) {
@@ -143,7 +189,7 @@ func (q *TotalQueue) Delivered(id MsgID) bool { return q.delivered[id] }
 // is empty or its head is committed (and therefore about to drain). The
 // re-solicitation watchdog polls this to detect stragglers.
 func (q *TotalQueue) HeadBlocked() (MsgID, any, bool) {
-	head := q.minPending()
+	head := q.head()
 	if head == nil || head.committed {
 		return MsgID{}, nil, false
 	}
@@ -184,14 +230,11 @@ func (q *TotalQueue) ForceCommit(id MsgID, payload any, final uint64) []TotalDel
 	}
 	p, ok := q.pending[id]
 	if !ok {
-		p = &abPending{id: id, payload: payload}
+		p = &abPending{id: id, payload: payload, priority: final}
 		q.pending[id] = p
+		heap.Push(&q.order, p)
 	}
-	p.priority = final
-	p.committed = true
-	if final > q.clock {
-		q.clock = final
-	}
+	q.finalize(p, final)
 	return q.drain()
 }
 
@@ -204,6 +247,7 @@ func (q *TotalQueue) ForceCommit(id MsgID, payload any, final uint64) []TotalDel
 func (q *TotalQueue) Discard(id MsgID) []TotalDelivery {
 	if p, ok := q.pending[id]; ok && !p.committed {
 		delete(q.pending, id)
+		heap.Remove(&q.order, p.index)
 	}
 	return q.drain()
 }

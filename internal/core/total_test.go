@@ -272,3 +272,126 @@ func TestTotalOrderRandomized(t *testing.T) {
 		}
 	}
 }
+
+// TestTotalQueueMatchesLinearScan drives the queue through random proposals,
+// commits, forced commits and discards, and checks every delivery and every
+// HeadBlocked answer against a model that scans all pending entries for the
+// smallest (priority, id) — the definition the heap must keep.
+func TestTotalQueueMatchesLinearScan(t *testing.T) {
+	type entry struct {
+		id        MsgID
+		priority  uint64
+		committed bool
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		q := NewTotalQueue(0)
+		model := map[MsgID]*entry{}
+		modelHead := func() *entry {
+			var best *entry
+			for _, e := range model {
+				if best == nil || e.priority < best.priority ||
+					(e.priority == best.priority && e.id.Less(best.id)) {
+					best = e
+				}
+			}
+			return best
+		}
+		modelDrain := func() []MsgID {
+			var out []MsgID
+			for h := modelHead(); h != nil && h.committed; h = modelHead() {
+				delete(model, h.id)
+				out = append(out, h.id)
+			}
+			return out
+		}
+		ids := func(ds []TotalDelivery) []MsgID {
+			var out []MsgID
+			for _, d := range ds {
+				out = append(out, d.ID)
+			}
+			return out
+		}
+		var known []MsgID
+		for step := 0; step < 400; step++ {
+			var got, want []MsgID
+			switch op := rng.Intn(10); {
+			case op < 4 || len(known) == 0:
+				id := mkID(rng.Intn(4), uint64(step+1))
+				prio := q.Propose(id, nil)
+				model[id] = &entry{id: id, priority: prio}
+				known = append(known, id)
+			case op < 7:
+				id := known[rng.Intn(len(known))]
+				final := q.Clock() + uint64(rng.Intn(3))
+				if e, ok := model[id]; ok {
+					e.priority, e.committed = final, true
+				}
+				got, want = ids(q.Commit(id, final)), modelDrain()
+			case op < 8:
+				id := known[rng.Intn(len(known))]
+				final := uint64(rng.Intn(int(q.Clock()) + 2))
+				if !q.Delivered(id) {
+					e, ok := model[id]
+					if !ok {
+						e = &entry{id: id}
+						model[id] = e
+					}
+					e.priority, e.committed = final, true
+				}
+				got, want = ids(q.ForceCommit(id, nil, final)), modelDrain()
+			default:
+				id := known[rng.Intn(len(known))]
+				if e, ok := model[id]; ok && !e.committed {
+					delete(model, id)
+				}
+				got, want = ids(q.Discard(id)), modelDrain()
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: delivered %v, want %v", seed, step, got, want)
+			}
+			id, _, blocked := q.HeadBlocked()
+			h := modelHead()
+			if wantBlocked := h != nil && !h.committed; blocked != wantBlocked || (blocked && id != h.id) {
+				t.Fatalf("seed %d step %d: HeadBlocked = %v %v, want %v", seed, step, id, blocked, h)
+			}
+			if q.PendingCount() != len(model) {
+				t.Fatalf("seed %d step %d: %d pending, want %d", seed, step, q.PendingCount(), len(model))
+			}
+		}
+	}
+}
+
+// BenchmarkTotalQueueCommitBacklog commits one message at a time into a
+// backlog of 10,000 pending entries whose head stays uncommitted, the shape
+// of an ABCAST flood waiting behind a straggler: each commit and head probe
+// must cost O(log n), not a scan of the backlog.
+func BenchmarkTotalQueueCommitBacklog(b *testing.B) {
+	const backlog = 10000
+	q := NewTotalQueue(0)
+	straggler := mkID(0, 1)
+	q.Propose(straggler, nil)
+	next := uint64(1)
+	pending := make([]MsgID, 0, backlog)
+	for len(pending) < backlog {
+		next++
+		id := mkID(1, next)
+		q.Propose(id, nil)
+		pending = append(pending, id)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Commit the oldest entry and propose a fresh one, keeping the
+		// backlog at its size.
+		id := pending[i%backlog]
+		q.Commit(id, q.Clock()+1)
+		if _, _, blocked := q.HeadBlocked(); !blocked {
+			b.Fatal("straggler no longer blocks the head")
+		}
+		next++
+		fresh := mkID(1, next)
+		q.Propose(fresh, nil)
+		pending[i%backlog] = fresh
+	}
+}

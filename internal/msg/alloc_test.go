@@ -58,11 +58,12 @@ func TestUnmarshalSizesFieldsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Measured at 18 allocations per decode: the field slice, the twelve
-	// field names, the vector-timestamp bytes, and the nested message with
-	// its field slice, name and body. Growing the top-level slice one field
-	// at a time (1, 2, 4, 8, 16) cost 22.
-	const maxAllocs = 18
+	// Measured at 6 allocations per decode: the field slice, the
+	// vector-timestamp bytes, and the nested message with its field slice,
+	// name and body. The twelve top-level names are interned. Growing the
+	// top-level slice one field at a time (1, 2, 4, 8, 16) cost 4 more, and
+	// allocating every name 12 more.
+	const maxAllocs = 6
 	const runs = 100
 	fresh := make([]*Message, runs+1) // AllocsPerRun adds a warm-up run
 	for i := range fresh {
@@ -86,8 +87,8 @@ var hostileCount = []byte{0xFF, 0xFF, 1, 'a', byte(TypeInt), 0, 0, 0, 8, 0, 0, 0
 
 // TestHostileFieldCountReservesNothing pins that the field-count pre-size is
 // bounded by the input length: a short message that claims 65535 fields is
-// rejected without reserving room for them (65535 fields of ~120 bytes each
-// would be ~7.5 MB per decode).
+// rejected without reserving room for them (65535 fields of 64 bytes each
+// would be 4 MB per decode).
 func TestHostileFieldCountReservesNothing(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -62,6 +62,41 @@ const maxFields = math.MaxUint16
 // type and payload length.
 const minFieldBytes = 1 + 1 + 4
 
+// names interns decoded field names: a read-only table of the names the
+// toolkit itself puts on the wire, filled by RegisterNames from package init
+// functions. A decoded name found here shares the table's string instead of
+// allocating its own; any other name is allocated as usual. The decoder only
+// reads the table, so a peer cannot grow it.
+var (
+	names       = make(map[string]string)
+	namesFrozen atomic.Bool
+)
+
+// RegisterNames adds field names for the decoder to intern. Call it only
+// from package init functions: the table is read without a lock, so it
+// panics once any message has been decoded.
+func RegisterNames(ns ...string) {
+	if namesFrozen.Load() {
+		panic("msg: RegisterNames called after decoding began")
+	}
+	for _, n := range ns {
+		names[n] = n
+	}
+}
+
+func init() {
+	RegisterNames(FSender, FSession, FDests, FProtocol, FEntry, FViewID, FGroup, FReply, FMsgID)
+}
+
+// internName returns the table's copy of a decoded name, or a fresh string
+// when the name is not registered.
+func internName(b []byte) string {
+	if s, ok := names[string(b)]; ok {
+		return s
+	}
+	return string(b)
+}
+
 // encodeCalls counts actual wire encodings (cache misses included, cache
 // hits excluded). Tests use it to assert that a multicast packet fanned out
 // to N destinations is marshalled exactly once.
@@ -144,21 +179,19 @@ func (m *Message) appendTo(dst []byte) ([]byte, error) {
 		dst = append(dst, f.name...)
 		dst = append(dst, byte(f.typ))
 		switch f.typ {
-		case TypeBytes:
-			dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.bytes)))
-			dst = append(dst, f.bytes...)
-		case TypeString:
-			dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.str)))
-			dst = append(dst, f.str...)
+		case TypeBytes, TypeString:
+			dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.b)))
+			dst = append(dst, f.b...)
 		case TypeInt:
 			dst = binary.BigEndian.AppendUint32(dst, 8)
-			dst = binary.BigEndian.AppendUint64(dst, uint64(f.i))
+			dst = binary.BigEndian.AppendUint64(dst, f.w)
 		case TypeAddress:
 			dst = binary.BigEndian.AppendUint32(dst, addr.EncodedSize)
-			dst = f.adr.AppendEncoded(dst)
+			dst = f.address().AppendEncoded(dst)
 		case TypeAddressList:
-			dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.adrs)*addr.EncodedSize))
-			for _, a := range f.adrs {
+			l := f.addrs()
+			dst = binary.BigEndian.AppendUint32(dst, uint32(len(l)*addr.EncodedSize))
+			for _, a := range l {
 				dst = a.AppendEncoded(dst)
 			}
 		case TypeMessage:
@@ -215,6 +248,9 @@ func (m *Message) unmarshalPrefix(b []byte) ([]byte, error) {
 	n := int(binary.BigEndian.Uint16(b[:2]))
 	b = b[2:]
 	m.invalidate()
+	if !namesFrozen.Load() {
+		namesFrozen.Store(true)
+	}
 	// Size the field slice once. A field takes at least minFieldBytes, so
 	// the count is capped by what the input can hold: a short input that
 	// claims 65535 fields must not reserve room for them.
@@ -254,7 +290,7 @@ func (m *Message) unmarshalPrefix(b []byte) ([]byte, error) {
 				m.truncateFields(idx)
 				inPlace = false
 			}
-			f = m.slot(string(rawName), typ)
+			f = m.slot(internName(rawName), typ)
 		}
 		if err := decodePayload(f, typ, payload); err != nil {
 			return nil, err
@@ -279,36 +315,42 @@ func (m *Message) truncateFields(i int) {
 func decodePayload(f *field, typ FieldType, payload []byte) error {
 	switch typ {
 	case TypeBytes:
-		f.bytes = append(f.bytes[:0], payload...)
+		f.b = append(f.b, payload...)
 	case TypeString:
-		// Avoid re-allocating the string when a recycled field already holds
-		// the same value (the common case for protocol constants).
-		if f.str != string(payload) {
-			f.str = string(payload)
+		// A recycled field that already holds the same value (the common
+		// case for protocol constants) keeps it; otherwise the bytes are
+		// copied into fresh storage, since a string's bytes are never
+		// written.
+		if string(f.b) != string(payload) {
+			f.b = append([]byte(nil), payload...)
 		}
 	case TypeInt:
 		if len(payload) != 8 {
 			return fmt.Errorf("%w: int field %q has %d bytes", ErrCorrupt, f.name, len(payload))
 		}
-		f.i = int64(binary.BigEndian.Uint64(payload))
+		f.w = binary.BigEndian.Uint64(payload)
 	case TypeAddress:
 		a, err := addr.Decode(payload)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		f.adr = a
+		f.setAddress(a)
 	case TypeAddressList:
 		if len(payload)%addr.EncodedSize != 0 {
 			return fmt.Errorf("%w: address list field %q has %d bytes", ErrCorrupt, f.name, len(payload))
 		}
-		f.adrs = f.adrs[:0]
+		l := f.addrs()
+		if n := len(payload) / addr.EncodedSize; cap(l) < n {
+			l = make(addr.List, 0, n)
+		}
 		for off := 0; off < len(payload); off += addr.EncodedSize {
 			a, err := addr.Decode(payload[off:])
 			if err != nil {
 				return fmt.Errorf("%w: %v", ErrCorrupt, err)
 			}
-			f.adrs = append(f.adrs, a)
+			l = append(l, a)
 		}
+		f.setAddrs(l)
 	case TypeMessage:
 		if f.sub == nil {
 			f.sub = New()
@@ -331,16 +373,14 @@ func (m *Message) MarshaledSize() int {
 		f := &m.fields[i]
 		size += 1 + len(f.name) + 1 + 4
 		switch f.typ {
-		case TypeBytes:
-			size += len(f.bytes)
-		case TypeString:
-			size += len(f.str)
+		case TypeBytes, TypeString:
+			size += len(f.b)
 		case TypeInt:
 			size += 8
 		case TypeAddress:
 			size += addr.EncodedSize
 		case TypeAddressList:
-			size += len(f.adrs) * addr.EncodedSize
+			size += len(f.b) / addrSize * addr.EncodedSize
 		case TypeMessage:
 			size += f.sub.MarshaledSize()
 		}

@@ -11,6 +11,14 @@ import (
 // sampleMessage builds a small packet-shaped message: a few scalar fields, a
 // timestamp-like bytes field, and a nested payload — the shape of a CBCAST
 // data packet.
+// The protocols layer registers its "&" wire names with the decoder at init;
+// this package's tests and benchmarks decode packets shaped like its data
+// packets, so they register the names those packets use in the same way.
+func init() {
+	RegisterNames("&proto", "&group", "&viewid", "&msgid", "&msgseq", "&sender",
+		"&rank", "&entry", "&vt", "&relay", "&extseq", "&payload")
+}
+
 func sampleMessage() *Message {
 	payload := New().PutBytes("data", bytes.Repeat([]byte{7}, 64))
 	return New().

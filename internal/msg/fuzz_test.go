@@ -30,6 +30,13 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		PutAddress("a", addr.NewProcess(3, 1, 7)).
 		PutAddressList("l", addr.List{addr.NewGroup(1, 0, 5), addr.NewProcess(2, 0, 8)}).
 		PutMessage("sub", New().PutMessage("subsub", New().PutInt("deep", 9))))
+	// Address lists (one and many entries, including a LocalID wider than
+	// the wire's 24 bits), strings (empty, non-ASCII, long) and names the
+	// decoder does not intern, beside registered ones.
+	seed(New().PutAddressList("one", addr.List{addr.NewProcess(7, 2, 1<<24|3).WithEntry(9)}))
+	seed(New().PutAddressList(FDests, addr.List{addr.NewGroup(1, 0, 1), addr.NewGroup(2, 0, 2), addr.NewProcess(3, 0, 3)}))
+	seed(New().PutString("", "").PutString("ünïcode", "ψ→∞").PutString("long", string(make([]byte, 300))))
+	seed(New().PutInt("not-interned", 1).PutInt(FSession, 2).PutString("@not-a-system-name", "x"))
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 1, 'a', 99, 0, 0, 0, 0})
 	f.Add(hostileCount)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"repro/internal/addr"
 )
@@ -70,28 +71,94 @@ func IsSystemField(name string) bool {
 	return len(name) > 0 && name[0] == SystemPrefix
 }
 
-// field is one entry of the symbol table.
+// field is one entry of the symbol table: a name and a tagged payload. Each
+// type uses only some of the payload members:
+//
+//	TypeInt:          w holds the value (two's complement)
+//	TypeAddress:      w holds site, incarnation, kind and entry; lid LocalID
+//	TypeBytes:        b, owned by the field
+//	TypeString:       b aliases the string's bytes, which are never written
+//	TypeAddressList:  b views the field's own []addr.Address storage
+//	TypeMessage:      sub
+//
+// This keeps a field at 64 bytes with three pointer words (name, b, sub);
+// one member per type took 120 bytes and five pointer words, and field
+// storage is most of what the message path allocates.
 type field struct {
-	name  string
-	typ   FieldType
-	bytes []byte
-	str   string
-	i     int64
-	adr   addr.Address
-	adrs  addr.List
-	sub   *Message
+	name string
+	b    []byte
+	sub  *Message
+	w    uint64
+	lid  uint32
+	typ  FieldType
 }
 
-// reset clears a field's payload members while keeping its name and the
-// backing storage of its slices, so an overwrite can reuse their capacity.
+// reset prepares a field to take a new payload of type typ, keeping its
+// name. Byte and address-list storage is kept for reuse when the type stays
+// the same, so overwriting a field of a recycled message does not allocate;
+// storage is never carried across types, and a string's bytes are kept only
+// to be compared or replaced, never written.
 func (f *field) reset(typ FieldType) {
+	switch {
+	case f.typ != typ:
+		f.b = nil
+	case typ != TypeString:
+		f.b = f.b[:0]
+	}
 	f.typ = typ
-	f.bytes = f.bytes[:0]
-	f.str = ""
-	f.i = 0
-	f.adr = addr.Nil
-	f.adrs = f.adrs[:0]
 	f.sub = nil
+	f.w, f.lid = 0, 0
+}
+
+// setAddress stores a in the scalar members. The packing is lossless: the
+// whole LocalID is kept, although the wire form carries only 24 bits.
+func (f *field) setAddress(a addr.Address) {
+	f.w = uint64(a.Site)<<24 | uint64(a.Incarn)<<16 | uint64(a.Kind)<<8 | uint64(a.Entry)
+	f.lid = a.LocalID
+}
+
+// address reverses setAddress.
+func (f *field) address() addr.Address {
+	return addr.Address{
+		Site:    addr.SiteID(f.w >> 24),
+		Incarn:  addr.Incarnation(f.w >> 16),
+		Kind:    addr.Kind(f.w >> 8),
+		Entry:   addr.EntryID(f.w),
+		LocalID: f.lid,
+	}
+}
+
+// str returns a string field's value without copying: b holds bytes that
+// are never written once they back a string.
+func (f *field) str() string {
+	return unsafe.String(unsafe.SliceData(f.b), len(f.b))
+}
+
+// setStr stores v by reference, as a string is immutable.
+func (f *field) setStr(v string) {
+	f.b = unsafe.Slice(unsafe.StringData(v), len(v))
+}
+
+// addrSize is the in-memory size of one address in a list field.
+const addrSize = int(unsafe.Sizeof(addr.Address{}))
+
+// addrs returns an address-list field's value: a view of b's storage, which
+// setAddrs took from a []addr.Address, so it is aligned for one.
+func (f *field) addrs() addr.List {
+	if cap(f.b) == 0 {
+		return nil
+	}
+	l := unsafe.Slice((*addr.Address)(unsafe.Pointer(unsafe.SliceData(f.b))), cap(f.b)/addrSize)
+	return l[:len(f.b)/addrSize]
+}
+
+// setAddrs stores l by reference, as the bytes of its backing array.
+func (f *field) setAddrs(l addr.List) {
+	if cap(l) == 0 {
+		f.b = nil
+		return
+	}
+	f.b = unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(l))), cap(l)*addrSize)[:len(l)*addrSize]
 }
 
 // Message is a mutable symbol table of named, typed fields. The zero value
@@ -212,35 +279,35 @@ func (m *Message) Names() []string {
 // recycled message does not allocate).
 func (m *Message) PutBytes(name string, v []byte) *Message {
 	f := m.slot(name, TypeBytes)
-	f.bytes = append(f.bytes, v...)
+	f.b = append(f.b, v...)
 	return m
 }
 
 // PutString sets a string field.
 func (m *Message) PutString(name, v string) *Message {
 	f := m.slot(name, TypeString)
-	f.str = v
+	f.setStr(v)
 	return m
 }
 
 // PutInt sets an integer field.
 func (m *Message) PutInt(name string, v int64) *Message {
 	f := m.slot(name, TypeInt)
-	f.i = v
+	f.w = uint64(v)
 	return m
 }
 
 // PutAddress sets an address field.
 func (m *Message) PutAddress(name string, v addr.Address) *Message {
 	f := m.slot(name, TypeAddress)
-	f.adr = v
+	f.setAddress(v)
 	return m
 }
 
 // PutAddressList sets an address list field. The list is copied.
 func (m *Message) PutAddressList(name string, v addr.List) *Message {
 	f := m.slot(name, TypeAddressList)
-	f.adrs = append(f.adrs, v...)
+	f.setAddrs(append(f.addrs(), v...))
 	return m
 }
 
@@ -287,7 +354,7 @@ func (m *Message) Bytes(name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return f.bytes, nil
+	return f.b, nil
 }
 
 // String returns the string field.
@@ -296,7 +363,7 @@ func (m *Message) String(name string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return f.str, nil
+	return f.str(), nil
 }
 
 // Int returns the integer field.
@@ -305,7 +372,7 @@ func (m *Message) Int(name string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return f.i, nil
+	return int64(f.w), nil
 }
 
 // Address returns the address field.
@@ -314,7 +381,7 @@ func (m *Message) Address(name string) (addr.Address, error) {
 	if err != nil {
 		return addr.Nil, err
 	}
-	return f.adr, nil
+	return f.address(), nil
 }
 
 // AddressList returns the address list field.
@@ -323,7 +390,7 @@ func (m *Message) AddressList(name string) (addr.List, error) {
 	if err != nil {
 		return nil, err
 	}
-	return f.adrs, nil
+	return f.addrs(), nil
 }
 
 // Message returns the nested message field.
@@ -341,7 +408,7 @@ func (m *Message) Message(name string) (*Message, error) {
 // GetInt returns the integer field or def when absent or mistyped.
 func (m *Message) GetInt(name string, def int64) int64 {
 	if f := m.lookup(name, TypeInt); f != nil {
-		return f.i
+		return int64(f.w)
 	}
 	return def
 }
@@ -349,7 +416,7 @@ func (m *Message) GetInt(name string, def int64) int64 {
 // GetString returns the string field or def when absent or mistyped.
 func (m *Message) GetString(name, def string) string {
 	if f := m.lookup(name, TypeString); f != nil {
-		return f.str
+		return f.str()
 	}
 	return def
 }
@@ -357,7 +424,7 @@ func (m *Message) GetString(name, def string) string {
 // GetBytes returns the bytes field or nil when absent or mistyped.
 func (m *Message) GetBytes(name string) []byte {
 	if f := m.lookup(name, TypeBytes); f != nil {
-		return f.bytes
+		return f.b
 	}
 	return nil
 }
@@ -365,7 +432,7 @@ func (m *Message) GetBytes(name string) []byte {
 // GetAddress returns the address field or addr.Nil when absent or mistyped.
 func (m *Message) GetAddress(name string) addr.Address {
 	if f := m.lookup(name, TypeAddress); f != nil {
-		return f.adr
+		return f.address()
 	}
 	return addr.Nil
 }
@@ -373,7 +440,7 @@ func (m *Message) GetAddress(name string) addr.Address {
 // GetAddressList returns the address list field or nil.
 func (m *Message) GetAddressList(name string) addr.List {
 	if f := m.lookup(name, TypeAddressList); f != nil {
-		return f.adrs
+		return f.addrs()
 	}
 	return nil
 }
@@ -439,9 +506,9 @@ func (m *Message) clone(room int) *Message {
 		f := &out.fields[i]
 		switch f.typ {
 		case TypeBytes:
-			f.bytes = append([]byte(nil), f.bytes...)
+			f.b = append([]byte(nil), f.b...)
 		case TypeAddressList:
-			f.adrs = append(addr.List(nil), f.adrs...)
+			f.setAddrs(append(addr.List(nil), f.addrs()...))
 		case TypeMessage:
 			if f.sub != nil {
 				f.sub = f.sub.clone(0)
@@ -462,15 +529,15 @@ func (m *Message) Format() string {
 		f := &m.fields[i]
 		switch f.typ {
 		case TypeBytes:
-			s += fmt.Sprintf("%s=bytes[%d]", f.name, len(f.bytes))
+			s += fmt.Sprintf("%s=bytes[%d]", f.name, len(f.b))
 		case TypeString:
-			s += fmt.Sprintf("%s=%q", f.name, f.str)
+			s += fmt.Sprintf("%s=%q", f.name, f.str())
 		case TypeInt:
-			s += fmt.Sprintf("%s=%d", f.name, f.i)
+			s += fmt.Sprintf("%s=%d", f.name, int64(f.w))
 		case TypeAddress:
-			s += fmt.Sprintf("%s=%v", f.name, f.adr)
+			s += fmt.Sprintf("%s=%v", f.name, f.address())
 		case TypeAddressList:
-			s += fmt.Sprintf("%s=%v", f.name, f.adrs)
+			s += fmt.Sprintf("%s=%v", f.name, f.addrs())
 		case TypeMessage:
 			s += fmt.Sprintf("%s=%s", f.name, f.sub.Format())
 		}

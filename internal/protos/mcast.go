@@ -28,6 +28,12 @@ const fRelay = "&relay"
 // ABCAST are asynchronous: the call returns as soon as the message has been
 // handed to the network. GBCAST is synchronous: it returns once the
 // globally-ordered delivery has been committed at the group.
+//
+// Multicast takes ownership of payload: the packets it builds hold the
+// message itself, not a copy, so the caller must not touch it after the call
+// (the toolkit's Cast and Reply hand over a copy of their own). Every local
+// delivery gets its own copy, so no handler can change what is sent or kept
+// for re-dissemination.
 func (d *Daemon) Multicast(sender addr.Address, proto Protocol, dests addr.List, entry addr.EntryID, payload *msg.Message) (core.MsgID, error) {
 	id, _, err := d.MulticastRequest(sender, proto, dests, entry, payload)
 	return id, err
@@ -37,7 +43,8 @@ func (d *Daemon) Multicast(sender addr.Address, proto Protocol, dests addr.List,
 // request id minted for the send (zero for CBCAST/ABCAST, which have no
 // request id). The id is returned even when the call fails: that is
 // precisely the case in which the caller needs it, to ask RequestOutcome
-// what became of the timed-out request.
+// what became of the timed-out request. Like Multicast, it takes ownership
+// of payload.
 func (d *Daemon) MulticastRequest(sender addr.Address, proto Protocol, dests addr.List, entry addr.EntryID, payload *msg.Message) (core.MsgID, int64, error) {
 	if len(dests) == 0 {
 		return core.MsgID{}, 0, ErrEmptyDest
@@ -111,7 +118,7 @@ func (d *Daemon) sendUserGbcast(sender, gid addr.Address, entry addr.EntryID, pa
 	req.PutAddress(fGroup, gid)
 	req.PutAddress(fSender, sender.Base())
 	req.PutInt(fEntry, int64(entry))
-	req.PutMessage(fPayload, payload.Clone())
+	req.PutMessage(fPayload, payload)
 	_, err := d.coordinatorCall(gid, req)
 	return req.GetInt(fReqID, 0), err
 }
@@ -130,7 +137,7 @@ func (d *Daemon) sendPointToPoint(sender addr.Address, id core.MsgID, dests addr
 	pkt.PutAddress(fSender, sender.Base())
 	pkt.PutInt(fEntry, int64(entry))
 	pkt.PutAddressList(fDests, dests)
-	pkt.PutMessage(fPayload, payload.Clone())
+	pkt.PutMessage(fPayload, payload)
 
 	d.mu.Lock()
 	d.counters.PointToPoints++
@@ -245,7 +252,7 @@ func (d *Daemon) buildDataPacket(proto Protocol, gid addr.Address, viewID core.V
 	pkt.PutAddress(fSender, sender.Base())
 	pkt.PutInt(fRank, int64(rank))
 	pkt.PutInt(fEntry, int64(entry))
-	pkt.PutMessage(fPayload, payload.Clone())
+	pkt.PutMessage(fPayload, payload)
 	return pkt
 }
 

@@ -124,6 +124,16 @@ const (
 	fOutcome   = "&outcome" // gbSeal result: 1 committed, 2 aborted
 )
 
+// The decoder interns these names instead of allocating each one again for
+// every packet.
+func init() {
+	msg.RegisterNames(fCall, fGroup, fViewID, fMsgID, fMsgSeq, fSender, fRank,
+		fVT, fExtSeq, fProto, fEntry, fPayload, fDests, fPriority, fKind, fProcs,
+		fName, fView, fGbID, fPending, fRebcast, fStateData, fStateLast,
+		fWantState, fErr, fReqID, fForce, fXferID, fDead, fAttempt, fNull,
+		fPrimary, fFound, fSite, fSealReq, fOutcome, fRelay)
+}
+
 // GB request kinds carried in ptGbRequest packets.
 const (
 	gbJoin       = int64(iota + 1) // add a member

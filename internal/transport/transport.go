@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -103,15 +102,32 @@ var (
 )
 
 // peerSend tracks the sending half of a connection to one peer site.
+//
+// Sequences are contiguous, so the records awaiting an ack are one slice in
+// sequence order: unacked[i] holds sequence ackedUpTo+1+i. Those up to
+// sentUpTo have been on the wire; the rest are queued for their first
+// transmission. An ack retires a prefix, touching only the records it
+// covers.
 type peerSend struct {
-	epoch    uint64 // stream epoch stamped on outgoing frames
-	nextSeq  uint64
-	unacked  map[uint64][]byte // seq -> sub-packet record (header included)
-	queue    [][]byte          // records awaiting their first transmission
-	sentUpTo uint64            // highest sequence handed to a frame so far
-	kick     chan struct{}     // wakes the per-peer flusher
-	started  bool              // flusher goroutine running
-	frame    []byte            // the flusher's frame buffer, reused across frames
+	epoch     uint64 // stream epoch stamped on outgoing frames
+	nextSeq   uint64
+	ackedUpTo uint64        // highest sequence the peer has acknowledged
+	sentUpTo  uint64        // highest sequence handed to a frame so far
+	unacked   []outRec      // sequences ackedUpTo+1 .. nextSeq-1
+	kick      chan struct{} // wakes the per-peer flusher
+	started   bool          // flusher goroutine running
+	frame     []byte        // the flusher's frame buffer, reused across frames
+}
+
+// outRec is one sub-packet record (header included) awaiting its ack.
+type outRec struct {
+	data   []byte
+	sentAt time.Time // last transmission; zero while queued
+}
+
+// queued returns the records awaiting their first transmission.
+func (ps *peerSend) queued() []outRec {
+	return ps.unacked[ps.sentUpTo-ps.ackedUpTo:]
 }
 
 // pendingAck is the receive-side ack bookkeeping for one peer.
@@ -240,7 +256,7 @@ func (t *Transport) Send(to SiteID, data []byte) error {
 	}
 	ps, ok := t.sends[to]
 	if !ok {
-		ps = &peerSend{epoch: t.epochBase, nextSeq: 1, unacked: make(map[uint64][]byte), kick: make(chan struct{}, 1)}
+		ps = &peerSend{epoch: t.epochBase, nextSeq: 1, kick: make(chan struct{}, 1)}
 		t.sends[to] = ps
 	}
 	maxFrag := t.cfg.MaxPacket - frameHeaderSize - subHeaderSize
@@ -263,8 +279,7 @@ func (t *Transport) Send(to SiteID, data []byte) error {
 		rec[8] = flags
 		binary.BigEndian.PutUint32(rec[9:13], uint32(len(frag)))
 		copy(rec[subHeaderSize:], frag)
-		ps.unacked[ps.nextSeq] = rec
-		ps.queue = append(ps.queue, rec)
+		ps.unacked = append(ps.unacked, outRec{data: rec})
 		ps.nextSeq++
 		n++
 	}
@@ -314,7 +329,7 @@ func (t *Transport) runFlusher(to SiteID, ps *peerSend) {
 		}
 		for {
 			t.mu.Lock()
-			if len(ps.queue) == 0 {
+			if len(ps.queued()) == 0 {
 				t.mu.Unlock()
 				break
 			}
@@ -338,38 +353,31 @@ func (t *Transport) buildFrameLocked(to SiteID, ps *peerSend, maxRecs int) []byt
 		ps.frame = make([]byte, 0, t.cfg.MaxPacket)
 	}
 	frame := ps.frame[:0]
-	// Sequences are contiguous, so the queue head is sentUpTo+1: it is the
-	// stream's lowest outstanding sequence exactly when nothing older is
-	// still awaiting an ack. Receivers may adopt a mid-flight stream only at
-	// such a frame (see handleFrame); the map scan exits on the first older
-	// record, so a deep unacked backlog costs one probe.
-	kind := byte(kindFrameLow)
-	for seq := range ps.unacked {
-		if seq <= ps.sentUpTo {
-			kind = kindFrame
-			break
-		}
+	// The queue head is sentUpTo+1: it is the stream's lowest outstanding
+	// sequence exactly when nothing older is still awaiting an ack.
+	// Receivers may adopt a mid-flight stream only at such a frame (see
+	// handleFrame).
+	kind := byte(kindFrame)
+	if ps.sentUpTo == ps.ackedUpTo {
+		kind = kindFrameLow
 	}
 	frame = append(frame, kind)
 	frame = binary.BigEndian.AppendUint64(frame, ps.epoch)
 	ackEpoch, ackCum := t.takeAckLocked(to)
 	frame = binary.BigEndian.AppendUint64(frame, ackEpoch)
 	frame = binary.BigEndian.AppendUint64(frame, ackCum)
+	queue := ps.queued()
+	now := time.Now()
 	n := 0
-	for len(ps.queue) > 0 {
-		rec := ps.queue[0]
-		if n > 0 && (len(frame)+len(rec) > t.cfg.MaxPacket || (maxRecs > 0 && n >= maxRecs)) {
+	for ; n < len(queue); n++ {
+		rec := &queue[n]
+		if n > 0 && (len(frame)+len(rec.data) > t.cfg.MaxPacket || (maxRecs > 0 && n >= maxRecs)) {
 			break
 		}
-		frame = append(frame, rec...)
-		ps.sentUpTo = binary.BigEndian.Uint64(rec[0:8])
-		ps.queue[0] = nil
-		ps.queue = ps.queue[1:]
-		n++
+		frame = append(frame, rec.data...)
+		rec.sentAt = now
 	}
-	if len(ps.queue) == 0 {
-		ps.queue = nil // release the drained backing array
-	}
+	ps.sentUpTo += uint64(n)
 	t.stats.FramesSent++
 	if n > 1 {
 		t.stats.Coalesced += uint64(n - 1)
@@ -421,8 +429,10 @@ func (t *Transport) retransmitLoop() {
 	}
 }
 
-// retransmit rebuilds frames from every peer's unacked records (in sequence
-// order, re-coalescing them) and resends them.
+// retransmit resends, in sequence order and re-coalesced into frames, every
+// record that has gone unacknowledged for a whole RetransmitInterval since
+// it was last sent. A record sent just before the sweep is left alone: its
+// ack is most likely still on the way.
 func (t *Transport) retransmit() {
 	type resend struct {
 		to     SiteID
@@ -430,40 +440,37 @@ func (t *Transport) retransmit() {
 	}
 	var pending []resend
 	t.mu.Lock()
+	now := time.Now()
+	stale := now.Add(-t.cfg.RetransmitInterval)
 	for to, ps := range t.sends {
-		if len(ps.unacked) == 0 {
-			continue
-		}
 		// Only records that have already been on the wire are retransmitted;
 		// anything past sentUpTo is still queued for its first transmission
 		// by the flusher.
-		seqs := make([]uint64, 0, len(ps.unacked))
-		for seq := range ps.unacked {
-			if seq <= ps.sentUpTo {
-				seqs = append(seqs, seq)
-			}
-		}
-		if len(seqs) == 0 {
-			continue
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		t.stats.Retransmissions += uint64(len(seqs))
+		sent := ps.unacked[:ps.sentUpTo-ps.ackedUpTo]
 		var ackEpoch, cum uint64
 		if pr, ok := t.recvs[to]; ok {
 			ackEpoch, cum = pr.epoch, pr.nextExpected-1
 		}
+		var recs []*outRec
+		for i := range sent {
+			if !sent[i].sentAt.After(stale) {
+				recs = append(recs, &sent[i])
+			}
+		}
 		r := resend{to: to}
-		// The sweep runs in sequence order, so its first frame leads with the
-		// stream's lowest outstanding sequence (queued records are all above
-		// sentUpTo) and carries the adoption flag.
-		kind := byte(kindFrameLow)
-		for len(seqs) > 0 {
+		// A frame that leads with the stream's lowest outstanding sequence
+		// carries the adoption flag.
+		kind := byte(kindFrame)
+		if len(recs) > 0 && recs[0] == &sent[0] {
+			kind = kindFrameLow
+		}
+		for len(recs) > 0 {
 			// Take the records that fit one frame, then allocate the frame at
 			// their size: a resent ack-sized record gets a small frame, not a
 			// MaxPacket one.
 			size, n := frameHeaderSize, 0
-			for ; n < len(seqs); n++ {
-				l := len(ps.unacked[seqs[n]])
+			for ; n < len(recs); n++ {
+				l := len(recs[n].data)
 				if n > 0 && size+l > t.cfg.MaxPacket {
 					break
 				}
@@ -474,15 +481,19 @@ func (t *Transport) retransmit() {
 			frame = binary.BigEndian.AppendUint64(frame, ps.epoch)
 			frame = binary.BigEndian.AppendUint64(frame, ackEpoch)
 			frame = binary.BigEndian.AppendUint64(frame, cum)
-			for _, seq := range seqs[:n] {
-				frame = append(frame, ps.unacked[seq]...)
+			for _, rec := range recs[:n] {
+				frame = append(frame, rec.data...)
+				rec.sentAt = now
 			}
 			r.frames = append(r.frames, frame)
-			seqs = seqs[n:]
+			t.stats.Retransmissions += uint64(n)
+			recs = recs[n:]
 			kind = kindFrame
 		}
-		t.stats.FramesSent += uint64(len(r.frames))
-		pending = append(pending, r)
+		if len(r.frames) > 0 {
+			t.stats.FramesSent += uint64(len(r.frames))
+			pending = append(pending, r)
+		}
 	}
 	t.mu.Unlock()
 	for _, r := range pending {
@@ -520,11 +531,15 @@ func (t *Transport) applyAck(from SiteID, ackEpoch, cumSeq uint64) {
 	if !ok || ps.epoch != ackEpoch {
 		return
 	}
-	for seq := range ps.unacked {
-		if seq <= cumSeq {
-			delete(ps.unacked, seq)
-		}
+	// Only records that have been sent can have been received.
+	cumSeq = min(cumSeq, ps.sentUpTo)
+	if cumSeq <= ps.ackedUpTo {
+		return
 	}
+	n := cumSeq - ps.ackedUpTo
+	clear(ps.unacked[:n])
+	ps.unacked = ps.unacked[n:]
+	ps.ackedUpTo = cumSeq
 }
 
 // handleFrame processes one data frame: applies its piggybacked ack, feeds
@@ -676,9 +691,9 @@ func (t *Transport) resetSendLocked(to SiteID) {
 	}
 	ps.epoch++
 	ps.nextSeq = 1
+	ps.ackedUpTo = 0
 	ps.sentUpTo = 0
-	ps.unacked = make(map[uint64][]byte)
-	ps.queue = nil
+	ps.unacked = nil
 }
 
 // ackTimerFire sends the delayed dedicated ack unless a data frame has
